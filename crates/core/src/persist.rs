@@ -39,21 +39,10 @@ pub const KIND_FAST_AMS: u8 = 4;
 /// Payload kind byte for the sketch crate's `SkimmedSketch`.
 pub const KIND_SKIMMED: u8 = 5;
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the checksum
-/// guarding checkpoint manifests and write-ahead-log records. Bitwise,
-/// table-free: the framed payloads are small and the dependency-free form
-/// keeps the workspace std-only.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+/// CRC-32 (IEEE 802.3) guarding checkpoint manifests and write-ahead-log
+/// records; the one implementation lives in `dctstream-obs`, which sits
+/// below this crate.
+pub use dctstream_obs::crc::crc32;
 
 /// Human-readable label for a payload kind byte.
 pub fn kind_label(kind: u8) -> &'static str {

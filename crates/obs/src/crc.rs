@@ -1,8 +1,10 @@
 //! CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`).
 //!
-//! Identical to `dctstream_core::persist::crc32`, duplicated here because
-//! this crate sits *below* `dctstream-core` in the dependency graph (core
-//! is instrumented with these metrics) and must stay dependency-free.
+//! The workspace's one CRC-32. It lives here because this crate sits
+//! *below* `dctstream-core` in the dependency graph (core is instrumented
+//! with these metrics) and must stay dependency-free; core re-exports it
+//! as `dctstream_core::persist::crc32`. Bitwise and table-free: the
+//! framed payloads are small.
 
 /// Checksum `data` with the same CRC-32 variant used by every durable
 /// artifact in the workspace.

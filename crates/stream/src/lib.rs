@@ -78,6 +78,6 @@ pub use shard::{
 pub use ship::{Follower, SegmentShipper, ShipOptions, ShipReport, ShipWatermark};
 pub use snapshot::{Progress, RegistrySnapshot, SnapshotCell, SnapshotStaleness, StreamStats};
 pub use wal::{
-    scan_records, DirStorage, FailingStorage, GroupWal, MemStorage, RetryPolicy, SharedStorage,
-    SyncPolicy, Wal, WalOptions, WalRecord, WalStorage,
+    scan_records, DirStorage, FailingStorage, MemStorage, RetryPolicy, SharedStorage, SyncPolicy,
+    Wal, WalOptions, WalRecord, WalStorage,
 };

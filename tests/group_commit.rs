@@ -1,24 +1,24 @@
-//! Group-commit concurrency and crash tests (ISSUE 6).
+//! Group-commit concurrency and crash tests.
 //!
 //! `SyncPolicy::Group` must deliver `Always`-grade acknowledgements —
 //! no record is acknowledged before the fsync covering it returns —
 //! while amortizing one fsync over every record queued behind the
 //! leader. Three legs:
 //!
-//! - N writer threads through one [`GroupWal`]: every acknowledged
-//!   sequence number is on storage afterwards, and the fsync count
-//!   (observed via the `obs` `wal.fsyncs` counter) is a fraction of the
-//!   record count.
-//! - The same through [`GroupDurable`], checking the recovered registry
-//!   absorbs every acknowledged update.
+//! - N writer threads through one [`GroupDurable`]: every acknowledged
+//!   update gets a distinct sequence number, is on storage afterwards
+//!   and is absorbed by a fresh recovery, and the fsync count (read off
+//!   the storage instance under test) is a fraction of the record count.
 //! - A kill sweep at every fsync boundary with a storage that *drops
 //!   unsynced bytes* at the kill (a power cut loses the page cache):
 //!   an acknowledged record must never be among the dropped bytes.
+//! - A single-threaded run must be indistinguishable from
+//!   `SyncPolicy::Always`.
 
 use dctstream_core::{CosineSynopsis, Domain, Grid};
 use dctstream_stream::{
-    DurableProcessor, GroupDurable, GroupWal, MemStorage, RecoveryOptions, RetryPolicy, Summary,
-    SyncPolicy, Wal, WalOptions, WalRecord, WalStorage,
+    DurableProcessor, GroupDurable, MemStorage, RecoveryOptions, RetryPolicy, Summary, SyncPolicy,
+    Wal, WalOptions, WalStorage,
 };
 use std::collections::BTreeMap;
 use std::io;
@@ -26,19 +26,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
-
-/// The `obs` metrics registry is process-global; tests that measure
-/// counter deltas serialize on this lock so concurrent legs don't bleed
-/// into each other's windows.
-static OBS_SERIAL: Mutex<()> = Mutex::new(());
-
-fn obs_window() -> MutexGuard<'static, ()> {
-    OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn counter(name: &str) -> u64 {
-    dctstream_obs::global().counter(name).get()
-}
 
 fn wal_opts() -> WalOptions {
     WalOptions {
@@ -110,68 +97,19 @@ const WRITERS: usize = 8;
 const PER_WRITER: usize = 64;
 
 #[test]
-fn concurrent_group_wal_acks_survive_and_share_fsyncs() {
-    let _w = obs_window();
-    dctstream_obs::set_enabled(true);
-    let fsyncs_before = counter("wal.fsyncs");
-
-    let mem = MemStorage::new();
-    let (gw, _) = GroupWal::open(SlowSync::new(mem.clone()), wal_opts(), 0).unwrap();
-
-    let mut handles = Vec::new();
-    for t in 0..WRITERS {
-        let gw = gw.clone();
-        handles.push(thread::spawn(move || {
-            let mut acked = Vec::new();
-            for i in 0..PER_WRITER {
-                let v = (t * PER_WRITER + i) as i64;
-                let seq = gw.append(&WalRecord::weighted("s", &[v], 1.0)).unwrap();
-                acked.push(seq);
-            }
-            acked
-        }));
-    }
-    let mut acked: Vec<u64> = handles
-        .into_iter()
-        .flat_map(|h| h.join().unwrap())
-        .collect();
-    acked.sort_unstable();
-
-    let total = (WRITERS * PER_WRITER) as u64;
-    let expect: Vec<u64> = (1..=total).collect();
-    assert_eq!(acked, expect, "each append gets a distinct sequence");
-    assert_eq!(gw.durable_watermark(), total, "every ack is durable");
-
-    let fsyncs = counter("wal.fsyncs") - fsyncs_before;
-    dctstream_obs::set_enabled(false);
-    assert!(fsyncs >= 1);
-    assert!(
-        fsyncs * 2 < total,
-        "group commit must amortize fsyncs: {fsyncs} fsyncs for {total} records"
-    );
-
-    // Every acknowledged sequence number is on storage.
-    let (_, outcome) = Wal::open(mem, wal_opts(), 0).unwrap();
-    let replayed: Vec<u64> = outcome.records.iter().map(|(seq, _)| *seq).collect();
-    for seq in &acked {
-        assert!(replayed.contains(seq), "acked seq {seq} missing on storage");
-    }
-}
-
-#[test]
 fn concurrent_group_durable_recovers_every_acked_update() {
-    let _w = obs_window();
-    dctstream_obs::set_enabled(true);
-    let fsyncs_before = counter("wal.fsyncs");
-
     let mem = MemStorage::new();
     let opts = RecoveryOptions {
         wal: wal_opts(),
         flush_threshold: None,
     };
-    let (gd, _) = GroupDurable::open_with(SlowSync::new(mem.clone()), opts.clone()).unwrap();
+    let storage = SlowSync::new(mem.clone());
+    let syncs = storage.syncs.clone();
+    let (gd, _) = GroupDurable::open_with(storage, opts.clone()).unwrap();
     gd.register("left", summary()).unwrap();
     gd.register("right", summary()).unwrap();
+    let registered = gd.wal_watermark();
+    assert_eq!(registered, 2, "one record per registration");
 
     let mut handles = Vec::new();
     for t in 0..WRITERS {
@@ -186,26 +124,42 @@ fn concurrent_group_durable_recovers_every_acked_update() {
             acked
         }));
     }
-    let acked: Vec<u64> = handles
+    let mut acked: Vec<u64> = handles
         .into_iter()
         .flat_map(|h| h.join().unwrap())
         .collect();
+    acked.sort_unstable();
 
     let total = (WRITERS * PER_WRITER) as u64;
-    assert_eq!(acked.len() as u64, total);
+    let expect: Vec<u64> = (registered + 1..=registered + total).collect();
+    assert_eq!(acked, expect, "each update gets a distinct sequence");
     assert_eq!(gd.events_processed(), total);
+    assert_eq!(
+        gd.durable_watermark(),
+        registered + total,
+        "every appended record is durable"
+    );
     assert_eq!(
         gd.durable_watermark(),
         gd.wal_watermark(),
         "after every caller returned, nothing may remain unsynced"
     );
 
-    let fsyncs = counter("wal.fsyncs") - fsyncs_before;
-    dctstream_obs::set_enabled(false);
+    // Counted on this storage instance, so concurrent tests cannot bleed
+    // into it; it includes the register and rotation syncs too.
+    let fsyncs = syncs.load(Ordering::Relaxed);
+    assert!(fsyncs >= 1);
     assert!(
         fsyncs * 2 < total,
         "group commit must amortize fsyncs: {fsyncs} fsyncs for {total} records"
     );
+
+    // Every acknowledged sequence number is on storage.
+    let (_, outcome) = Wal::open(mem.clone(), wal_opts(), 0).unwrap();
+    let replayed: Vec<u64> = outcome.records.iter().map(|(seq, _)| *seq).collect();
+    for seq in &acked {
+        assert!(replayed.contains(seq), "acked seq {seq} missing on storage");
+    }
 
     // A fresh recovery absorbs every acknowledged update.
     let (dp, report) = DurableProcessor::open_with(mem, opts).unwrap();
