@@ -75,6 +75,7 @@ fn fleet_run(dir: &PathBuf, shards: usize, rows: &[(Vec<i64>, f64)]) {
     let _ = std::fs::remove_dir_all(dir);
     let fleet = ShardedRegistry::create(dir, shards, FleetOptions::default()).unwrap();
     fleet.register("s", fresh_summary()).unwrap();
+    let rows: Vec<(&[i64], f64)> = rows.iter().map(|(t, w)| (t.as_slice(), *w)).collect();
     for chunk in rows.chunks(BATCH) {
         fleet.ingest("s", chunk).unwrap();
     }

@@ -640,8 +640,9 @@ impl<'a> FleetSink<'a> {
         if self.buf.is_empty() {
             return Ok(());
         }
+        let rows: Vec<(&[i64], f64)> = self.buf.iter().map(|(t, w)| (t.as_slice(), *w)).collect();
         self.fleet
-            .ingest(&self.stream, &self.buf)
+            .ingest(&self.stream, &rows)
             .map_err(|e| sink_error(e, &self.targets))?;
         self.buf.clear();
         Ok(())

@@ -278,6 +278,11 @@ impl StreamSummary for SkimmedSketch {
         self.update(tuple, w)
     }
 
+    fn check_update(&self, tuple: &[i64], w: f64) -> Result<()> {
+        self.encode(tuple)?;
+        self.ams.check_update(tuple, w)
+    }
+
     fn tuple_count(&self) -> f64 {
         self.count()
     }

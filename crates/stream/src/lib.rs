@@ -70,7 +70,8 @@ pub use parallel::ParallelIngest;
 pub use processor::{shared, ContinuousJoinQuery, SharedProcessor, StreamProcessor, Summary};
 pub use query::{ChainJoinQuery, ChainJoinQueryBuilder, QueryLink};
 pub use recovery::{
-    DurableProcessor, GroupDurable, RecoveryOptions, RecoveryReport, RepairReport, ScrubReport,
+    BatchOutcome, DurableProcessor, GroupDurable, RecoveryOptions, RecoveryReport, RepairReport,
+    ScrubReport,
 };
 pub use shard::{
     FleetEstimate, FleetOptions, PromotionReport, ShardStaleness, ShardStatus, ShardedRegistry,
@@ -78,6 +79,6 @@ pub use shard::{
 pub use ship::{Follower, SegmentShipper, ShipOptions, ShipReport, ShipWatermark};
 pub use snapshot::{Progress, RegistrySnapshot, SnapshotCell, SnapshotStaleness, StreamStats};
 pub use wal::{
-    scan_records, DirStorage, FailingStorage, MemStorage, RetryPolicy, SharedStorage, SyncPolicy,
-    Wal, WalOptions, WalRecord, WalStorage,
+    batch_rows_per_frame, scan_records, DirStorage, FailingStorage, MemStorage, RetryPolicy,
+    SharedStorage, SyncPolicy, UpdateBatch, Wal, WalOptions, WalRecord, WalStorage,
 };

@@ -11,6 +11,7 @@
 use crate::batch::BatchBuffer;
 use crate::event::StreamEvent;
 use crate::snapshot::{RegistrySnapshot, SnapshotCell, SnapshotStaleness, StreamStats};
+use crate::wal::WalOp;
 use dctstream_core::{
     estimate_equi_join, CosineSynopsis, DctError, MultiDimSynopsis, Result, StreamSummary,
 };
@@ -108,6 +109,16 @@ impl StreamSummary for Summary {
             Summary::Ams(s) => s.update_weighted(tuple, w),
             Summary::Skimmed(s) => s.update_weighted(tuple, w),
             Summary::FastAms(s) => s.update_weighted(tuple, w),
+        }
+    }
+
+    fn check_update(&self, tuple: &[i64], w: f64) -> Result<()> {
+        match self {
+            Summary::Cosine(s) => s.check_update(tuple, w),
+            Summary::Multi(s) => s.check_update(tuple, w),
+            Summary::Ams(s) => s.check_update(tuple, w),
+            Summary::Skimmed(s) => s.check_update(tuple, w),
+            Summary::FastAms(s) => s.check_update(tuple, w),
         }
     }
 
@@ -319,24 +330,70 @@ impl StreamProcessor {
             .get_mut(stream)
             .ok_or_else(|| DctError::InvalidParameter(format!("unknown stream '{stream}'")))?;
         match self.buffers.get_mut(stream) {
-            Some(buf) => {
-                buf.push_weighted(tuple, w);
-                if buf.should_flush() {
-                    let _span = dctstream_obs::span!("ingest.flush");
-                    dctstream_obs::counter_add!("ingest.batch_flushes", 1);
-                    buf.flush_into(s)?;
-                }
-            }
+            Some(buf) => buffer_row(buf, s, tuple, w)?,
             None => s.update_weighted(tuple, w)?,
         }
-        self.events += 1;
-        let entry = self.stats.entry(stream.to_string()).or_default();
-        entry.records += 1;
-        entry.gross_weight += w.abs();
-        self.total_stats.records += 1;
-        self.total_stats.gross_weight += w.abs();
-        dctstream_obs::counter_add!("ingest.events", 1);
+        self.note_updates(stream, [w]);
         Ok(())
+    }
+
+    /// Route a batch of weighted updates to the named stream's summary in
+    /// one [`StreamSummary::update_weighted_batch`] call (or, in buffered
+    /// mode, row by row into its batch buffer, exactly as a
+    /// [`Self::process_weighted`] loop would). Summaries with an atomic
+    /// batch kernel are left untouched when any row is invalid; callers
+    /// that need per-row attribution validate with
+    /// [`StreamSummary::check_update`] first.
+    pub fn process_batch(&mut self, stream: &str, rows: &[(&[i64], f64)]) -> Result<()> {
+        let s = self
+            .streams
+            .get_mut(stream)
+            .ok_or_else(|| DctError::InvalidParameter(format!("unknown stream '{stream}'")))?;
+        match self.buffers.get_mut(stream) {
+            Some(buf) => {
+                for &(tuple, w) in rows {
+                    buffer_row(buf, s, tuple, w)?;
+                }
+            }
+            None => s.update_weighted_batch(rows)?,
+        }
+        self.note_updates(stream, rows.iter().map(|&(_, w)| w));
+        Ok(())
+    }
+
+    /// Apply a logged update record (event, weighted or batch) the way
+    /// the live run applied it: a batch record goes through one
+    /// [`Self::process_batch`], so replay rounds exactly as the live
+    /// registry did. Registrations and drops are the caller's to handle.
+    pub(crate) fn replay_update(&mut self, stream: &str, op: &WalOp) -> Result<()> {
+        match op {
+            WalOp::Event(ev) => self.process(stream, ev),
+            WalOp::Weighted(t, w) => self.process_weighted(stream, t.values(), *w),
+            WalOp::Batch(b) => self.process_batch(stream, &b.rows()),
+            WalOp::Register(_) | WalOp::Drop => {
+                unreachable!("replay loops handle registrations and drops themselves")
+            }
+        }
+    }
+
+    /// Count applied updates of the given weights against the event
+    /// counter and the stream's staleness totals, row by row so a batch
+    /// rounds exactly as the same rows processed one at a time.
+    fn note_updates(&mut self, stream: &str, weights: impl IntoIterator<Item = f64>) {
+        let entry = match self.stats.get_mut(stream) {
+            Some(e) => e,
+            None => self.stats.entry(stream.to_string()).or_default(),
+        };
+        let mut records = 0u64;
+        for w in weights {
+            records += 1;
+            entry.gross_weight += w.abs();
+            self.total_stats.gross_weight += w.abs();
+        }
+        entry.records += records;
+        self.total_stats.records += records;
+        self.events += records;
+        dctstream_obs::counter_add!("ingest.events", records);
     }
 
     /// Estimate the equi-join of two cosine-summarized streams.
@@ -369,6 +426,17 @@ impl StreamProcessor {
                 ))
             })
     }
+}
+
+/// Buffer one row, flushing the buffer into `summary` once it is full.
+fn buffer_row(buf: &mut BatchBuffer, summary: &mut Summary, tuple: &[i64], w: f64) -> Result<()> {
+    buf.push_weighted(tuple, w);
+    if buf.should_flush() {
+        let _span = dctstream_obs::span!("ingest.flush");
+        dctstream_obs::counter_add!("ingest.batch_flushes", 1);
+        buf.flush_into(summary)?;
+    }
+    Ok(())
 }
 
 /// Thread-safe shared processor handle.

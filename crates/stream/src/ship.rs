@@ -30,7 +30,8 @@
 //! [`Follower::replay_new`] re-scans the shipped store read-only
 //! ([`crate::wal::scan_records`]) and applies only records past its
 //! applied watermark, mirroring the recovery replay loop (register /
-//! weighted update / drop). An incomplete tail frame is simply not
+//! update / drop). The staleness ledger counts rows: a batch record
+//! advances it by every row it holds. An incomplete tail frame is simply not
 //! applied yet — the next shipping round completes it in place.
 //!
 //! Freshness is tracked against the primary's *published* position: a
@@ -344,18 +345,9 @@ impl<S: WalStorage> Follower<S> {
                     let summary = Summary::from_bytes(payload.clone())?;
                     self.processor.register(record.stream.clone(), summary)?;
                 }
-                WalOp::Event(ev) => {
-                    let ev = ev.clone();
-                    self.processor.process(&record.stream, &ev)?;
-                    self.applied.records += 1;
-                    self.applied.gross_weight += ev.weight().abs();
-                }
-                WalOp::Weighted(t, w) => {
-                    let (t, w) = (t.clone(), *w);
-                    self.processor
-                        .process_weighted(&record.stream, t.values(), w)?;
-                    self.applied.records += 1;
-                    self.applied.gross_weight += w.abs();
+                op => {
+                    self.processor.replay_update(&record.stream, op)?;
+                    record.tally_updates(&mut self.applied.records, &mut self.applied.gross_weight);
                 }
             }
             self.applied_seq = seq;

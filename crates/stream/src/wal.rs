@@ -28,7 +28,9 @@
 //! ```
 //!
 //! The body is a [`WalRecord`]: a one-byte kind, the stream name, and
-//! the operation payload (see [`WalRecord::encode`]).
+//! the operation payload (see [`WalRecord::encode`]). A batch record
+//! (kind 6) carries many rows of one arity in one frame, so replay holds
+//! all of a batch or none of it.
 //!
 //! # Torn tail vs. interior corruption
 //!
@@ -66,7 +68,7 @@
 //! fresh segment for subsequent appends, and retires segments wholly
 //! covered by the watermark.
 
-use crate::event::{StreamEvent, Tuple};
+use crate::event::{StreamEvent, Tuple, MAX_WIRE_ARITY};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dctstream_core::persist::crc32;
 use dctstream_core::{DctError, Result};
@@ -98,6 +100,18 @@ const KIND_DELETE: u8 = 2;
 const KIND_WEIGHTED: u8 = 3;
 const KIND_REGISTER: u8 = 4;
 const KIND_DROP: u8 = 5;
+const KIND_BATCH: u8 = 6;
+
+/// Largest batch-record header: kind, name length, the longest name,
+/// arity and row count.
+const MAX_BATCH_HEADER_LEN: usize = 1 + 4 + MAX_WIRE_NAME_LEN + 4 + 4;
+
+/// Rows of `arity` values that fit one batch record under
+/// [`MAX_RECORD_LEN`], whatever the stream name. Larger batches are
+/// logged as consecutive frames of at most this many rows.
+pub fn batch_rows_per_frame(arity: usize) -> usize {
+    (MAX_RECORD_LEN - MAX_BATCH_HEADER_LEN) / (8 * (arity + 1))
+}
 
 // ---------------------------------------------------------------------------
 // Records
@@ -127,6 +141,62 @@ pub enum WalOp {
     /// stream's surviving WAL records stop resurrecting it on reopen;
     /// they retire with their segments at the next checkpoint.
     Drop,
+    /// Weighted updates applied together by one batch-kernel call.
+    Batch(UpdateBatch),
+}
+
+/// The rows of a [`WalOp::Batch`] record: `len()` weighted tuples of one
+/// arity, stored flat.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UpdateBatch {
+    arity: usize,
+    weights: Vec<f64>,
+    values: Vec<i64>,
+}
+
+impl UpdateBatch {
+    /// Copy `rows`, each of which must hold `arity` values.
+    ///
+    /// # Panics
+    ///
+    /// If a row's length differs from `arity`: callers validate rows
+    /// against the stream's summary before logging them.
+    pub fn new(arity: usize, rows: &[(&[i64], f64)]) -> Self {
+        let mut values = Vec::with_capacity(rows.len() * arity);
+        for (tuple, _) in rows {
+            assert_eq!(tuple.len(), arity, "batch rows share one arity");
+            values.extend_from_slice(tuple);
+        }
+        UpdateBatch {
+            arity,
+            weights: rows.iter().map(|(_, w)| *w).collect(),
+            values,
+        }
+    }
+
+    /// Values per row.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// Whether the batch holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.weights.is_empty()
+    }
+
+    /// The rows in logged order, in the shape the batch kernels take.
+    pub fn rows(&self) -> Vec<(&[i64], f64)> {
+        self.weights
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| (&self.values[i * self.arity..(i + 1) * self.arity], w))
+            .collect()
+    }
 }
 
 impl WalRecord {
@@ -173,15 +243,29 @@ impl WalRecord {
         }
     }
 
+    /// A batch record holding `rows`, each of `arity` values (see
+    /// [`UpdateBatch::new`]).
+    pub fn batch(stream: impl Into<String>, arity: usize, rows: &[(&[i64], f64)]) -> Self {
+        WalRecord {
+            stream: stream.into(),
+            op: WalOp::Batch(UpdateBatch::new(arity, rows)),
+        }
+    }
+
     /// Encode the record body (without framing).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.stream.len());
+        let payload = match &self.op {
+            WalOp::Batch(b) => 8 + 8 * (b.arity + 1) * b.len(),
+            _ => 16,
+        };
+        let mut buf = BytesMut::with_capacity(5 + self.stream.len() + payload);
         let kind = match &self.op {
             WalOp::Event(StreamEvent::Insert(_)) => KIND_INSERT,
             WalOp::Event(StreamEvent::Delete(_)) => KIND_DELETE,
             WalOp::Weighted(..) => KIND_WEIGHTED,
             WalOp::Register(_) => KIND_REGISTER,
             WalOp::Drop => KIND_DROP,
+            WalOp::Batch(_) => KIND_BATCH,
         };
         buf.put_u8(kind);
         buf.put_u32_le(self.stream.len() as u32);
@@ -199,6 +283,16 @@ impl WalRecord {
                 buf.put_slice(payload.as_slice());
             }
             WalOp::Drop => {}
+            WalOp::Batch(b) => {
+                buf.put_u32_le(b.arity as u32);
+                buf.put_u32_le(b.len() as u32);
+                for (i, &w) in b.weights.iter().enumerate() {
+                    buf.put_f64_le(w);
+                    for &v in &b.values[i * b.arity..(i + 1) * b.arity] {
+                        buf.put_i64_le(v);
+                    }
+                }
+            }
         }
         buf.freeze()
     }
@@ -261,6 +355,38 @@ impl WalRecord {
                 WalOp::Register(payload)
             }
             KIND_DROP => WalOp::Drop,
+            KIND_BATCH => {
+                if buf.remaining() < 8 {
+                    return Err(ctx("record body truncated before batch header"));
+                }
+                let arity = buf.get_u32_le() as usize;
+                let n = buf.get_u32_le() as usize;
+                if arity > MAX_WIRE_ARITY {
+                    return Err(ctx(&format!("implausible batch arity {arity}")));
+                }
+                // Checked before allocating: a crafted count cannot
+                // reserve more than the frame actually holds.
+                let row_len = 8 * (arity + 1);
+                if n > buf.remaining() / row_len {
+                    return Err(ctx(&format!(
+                        "batch declares {n} rows but only {} bytes remain",
+                        buf.remaining()
+                    )));
+                }
+                let mut weights = Vec::with_capacity(n);
+                let mut values = Vec::with_capacity(n * arity);
+                for _ in 0..n {
+                    weights.push(buf.get_f64_le());
+                    for _ in 0..arity {
+                        values.push(buf.get_i64_le());
+                    }
+                }
+                WalOp::Batch(UpdateBatch {
+                    arity,
+                    weights,
+                    values,
+                })
+            }
             other => return Err((Some(stream), format!("unknown record kind {other}"))),
         };
         if buf.remaining() != 0 {
@@ -275,14 +401,32 @@ impl WalRecord {
         Ok(WalRecord { stream, op })
     }
 
-    /// The arity-checked weighted view used during replay: tuple values
-    /// and weight, or `None` for registrations and drops.
-    pub fn as_update(&self) -> Option<(&[i64], f64)> {
+    /// Rows of updates this record applies: one for an event or
+    /// weighted record, every row of a batch, none for registrations and
+    /// drops. Replay's counters count rows, not records.
+    pub fn update_rows(&self) -> u64 {
         match &self.op {
-            WalOp::Event(ev) => Some((ev.tuple().values(), ev.weight())),
-            WalOp::Weighted(t, w) => Some((t.values(), *w)),
-            WalOp::Register(_) | WalOp::Drop => None,
+            WalOp::Event(_) | WalOp::Weighted(..) => 1,
+            WalOp::Batch(b) => b.len() as u64,
+            WalOp::Register(_) | WalOp::Drop => 0,
         }
+    }
+
+    /// Add this record's rows and their `|w|` to a tally, row by row in
+    /// logged order, so the gross mass rounds exactly as the live
+    /// per-row accounting did.
+    pub fn tally_updates(&self, records: &mut u64, gross: &mut f64) {
+        match &self.op {
+            WalOp::Event(ev) => *gross += ev.weight().abs(),
+            WalOp::Weighted(_, w) => *gross += w.abs(),
+            WalOp::Batch(b) => {
+                for w in &b.weights {
+                    *gross += w.abs();
+                }
+            }
+            WalOp::Register(_) | WalOp::Drop => {}
+        }
+        *records += self.update_rows();
     }
 }
 
@@ -1621,6 +1765,82 @@ mod tests {
         let (stream, detail) = WalRecord::decode(&bad_kind).unwrap_err();
         assert_eq!(stream.as_deref(), Some("stream-name"));
         assert!(detail.contains("unknown record kind"));
+    }
+
+    fn batch_rec(stream: &str, arity: usize, n: usize) -> WalRecord {
+        let values: Vec<Vec<i64>> = (0..n)
+            .map(|i| (0..arity).map(|j| (i * 7 + j) as i64 - 3).collect())
+            .collect();
+        let rows: Vec<(&[i64], f64)> = values
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.as_slice(), i as f64 * 0.5 - 1.0))
+            .collect();
+        WalRecord::batch(stream, arity, &rows)
+    }
+
+    #[test]
+    fn batch_record_codec_roundtrips_and_prices_rows() {
+        for (arity, n) in [(1, 0), (1, 1), (1, 37), (2, 5), (3, 4), (0, 3)] {
+            let r = batch_rec("tenant/s", arity, n);
+            let body = r.encode();
+            let WalOp::Batch(b) = &WalRecord::decode(body.as_slice()).unwrap().op else {
+                panic!("decoded a non-batch record");
+            };
+            assert_eq!(&WalRecord::decode(body.as_slice()).unwrap(), &r);
+            assert_eq!((b.arity(), b.len()), (arity, n));
+            // kind | name | arity | n, then 8 bytes per weight and value.
+            assert_eq!(body.len(), 1 + 4 + 8 + 8 + n * 8 * (arity + 1));
+        }
+        let r = batch_rec("s", 1, 10);
+        assert_eq!(r.update_rows(), 10);
+        let (mut rows, mut gross) = (0, 0.0);
+        r.tally_updates(&mut rows, &mut gross);
+        assert_eq!((rows, gross), (10, 15.5));
+        assert_eq!(WalRecord::drop_stream("s").update_rows(), 0);
+    }
+
+    #[test]
+    fn batch_decode_rejects_damage_and_crafted_counts() {
+        let body = batch_rec("stream-name", 2, 6).encode().to_vec();
+        for n in 0..body.len() {
+            assert!(WalRecord::decode(&body[..n]).is_err(), "prefix {n}");
+        }
+        let mut trailing = body.clone();
+        trailing.push(0);
+        assert!(WalRecord::decode(&trailing).is_err());
+        // The row count sits after kind, name length and name, then arity.
+        let n_at = 1 + 4 + "stream-name".len() + 4;
+        let arity_at = n_at - 4;
+        let mut huge_n = body.clone();
+        huge_n[n_at..n_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let (stream, detail) = WalRecord::decode(&huge_n).unwrap_err();
+        assert_eq!(stream.as_deref(), Some("stream-name"));
+        assert!(detail.contains("rows but only"), "{detail}");
+        let mut one_more = body.clone();
+        one_more[n_at..n_at + 4].copy_from_slice(&7u32.to_le_bytes());
+        assert!(WalRecord::decode(&one_more).is_err());
+        let mut one_less = body.clone();
+        one_less[n_at..n_at + 4].copy_from_slice(&5u32.to_le_bytes());
+        assert!(WalRecord::decode(&one_less).is_err(), "leftover row bytes");
+        let mut huge_arity = body.clone();
+        huge_arity[arity_at..arity_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let (_, detail) = WalRecord::decode(&huge_arity).unwrap_err();
+        assert!(detail.contains("implausible batch arity"), "{detail}");
+        let mut other_arity = body.clone();
+        other_arity[arity_at..arity_at + 4].copy_from_slice(&3u32.to_le_bytes());
+        assert!(WalRecord::decode(&other_arity).is_err());
+    }
+
+    #[test]
+    fn batch_frames_fit_the_record_limit() {
+        for arity in [0, 1, 2, 8, MAX_WIRE_ARITY] {
+            let cap = batch_rows_per_frame(arity);
+            assert!(cap >= 1, "arity {arity}");
+            let header = MAX_BATCH_HEADER_LEN;
+            assert!(header + cap * 8 * (arity + 1) <= MAX_RECORD_LEN);
+            assert!(header + (cap + 1) * 8 * (arity + 1) > MAX_RECORD_LEN);
+        }
     }
 
     #[test]

@@ -648,3 +648,194 @@ fn repair_retries_transient_io() {
     assert!(dp.health().all_healthy());
     assert!(dp.scrub().unwrap().is_clean());
 }
+
+// ---------------------------------------------------------------------------
+// Batch frames: one served request's rows are one WAL record, so
+// recovery holds the whole request or none of it.
+// ---------------------------------------------------------------------------
+
+/// One step of the batch workload: a registration, or a request whose
+/// rows go through `ingest_batch` (one frame) — except one-row requests,
+/// which go through `process_weighted` so the log mixes record kinds.
+#[derive(Debug, Clone)]
+enum Req {
+    Register(&'static str),
+    Rows(&'static str, Vec<(i64, f64)>),
+}
+
+/// Requests of 1–9 rows with mixed weights; every fifth carries an
+/// out-of-domain row, which is refused and never logged.
+fn batch_workload() -> Vec<Req> {
+    let mut reqs = vec![Req::Register("left"), Req::Register("right")];
+    for r in 0..16i64 {
+        let stream = if r % 2 == 0 { "left" } else { "right" };
+        let n = 1 + (r * 5) % 9;
+        let mut rows: Vec<(i64, f64)> = (0..n)
+            .map(|i| {
+                (
+                    (r * 7 + i * 3) % DOMAIN as i64,
+                    [1.0, -1.0, 2.5][(i % 3) as usize],
+                )
+            })
+            .collect();
+        if r % 5 == 2 {
+            rows.insert(1, (DOMAIN as i64 + r, 1.0));
+        }
+        reqs.push(Req::Rows(stream, rows));
+    }
+    reqs
+}
+
+fn apply_req<S: dctstream_stream::WalStorage>(
+    dp: &mut DurableProcessor<S>,
+    req: &Req,
+) -> Result<(), DctError> {
+    match req {
+        Req::Register(name) => dp.register(*name, summary()),
+        Req::Rows(name, rows) if rows.len() == 1 => dp
+            .process_weighted(name, &[rows[0].0], rows[0].1)
+            .map(|_| ()),
+        Req::Rows(name, rows) => {
+            let tuples: Vec<[i64; 1]> = rows.iter().map(|&(v, _)| [v]).collect();
+            let view: Vec<(&[i64], f64)> = tuples
+                .iter()
+                .zip(rows)
+                .map(|(t, &(_, w))| (t.as_slice(), w))
+                .collect();
+            let out = dp.ingest_batch(name, &view)?;
+            let refused = rows.iter().filter(|(v, _)| *v >= DOMAIN as i64).count();
+            assert_eq!(
+                out.rejects.len(),
+                refused,
+                "only out-of-domain rows are refused"
+            );
+            Ok(())
+        }
+    }
+}
+
+/// Checkpoint manifests of a reference registry after each prefix of
+/// `reqs` (index `k` = the first `k` requests applied), built through
+/// `StreamProcessor::process_batch` without any log.
+fn prefix_manifests(reqs: &[Req]) -> Vec<Vec<u8>> {
+    let mut p = StreamProcessor::new();
+    let mut out = vec![p.checkpoint_bytes().unwrap().to_vec()];
+    for req in reqs {
+        match req {
+            Req::Register(name) => p.register(*name, summary()).unwrap(),
+            Req::Rows(name, rows) => {
+                let tuples: Vec<[i64; 1]> = rows
+                    .iter()
+                    .filter(|(v, _)| *v < DOMAIN as i64)
+                    .map(|&(v, _)| [v])
+                    .collect();
+                let weights = rows.iter().filter(|(v, _)| *v < DOMAIN as i64).map(|r| r.1);
+                let view: Vec<(&[i64], f64)> =
+                    tuples.iter().map(|t| t.as_slice()).zip(weights).collect();
+                if rows.len() == 1 {
+                    p.process_weighted(name, view[0].0, view[0].1).unwrap();
+                } else {
+                    p.process_batch(name, &view).unwrap();
+                }
+            }
+        }
+        out.push(p.checkpoint_bytes().unwrap().to_vec());
+    }
+    out
+}
+
+fn run_reqs_until_crash<S: dctstream_stream::WalStorage>(
+    storage: S,
+    sync: SyncPolicy,
+    reqs: &[Req],
+) -> usize {
+    let Ok((mut dp, _)) = DurableProcessor::open_with(storage, opts(sync)) else {
+        return 0;
+    };
+    for (i, req) in reqs.iter().enumerate() {
+        if apply_req(&mut dp, req).is_err() {
+            return i;
+        }
+    }
+    reqs.len()
+}
+
+/// Kill the storage at every byte boundary of a log holding batch
+/// frames: the recovered registry must equal the reference after some
+/// whole number of requests — never a partial batch — and under
+/// `Always` no acknowledged request may be lost.
+fn batch_kill_sweep(sync: SyncPolicy) {
+    let reqs = batch_workload();
+    let prefixes = prefix_manifests(&reqs);
+    const BIG: usize = 1 << 30;
+    let failing = FailingStorage::with_budget(MemStorage::new(), BIG);
+    assert_eq!(
+        run_reqs_until_crash(failing.clone(), sync, &reqs),
+        reqs.len()
+    );
+    let total = BIG - failing.budget_remaining().expect("budget was set");
+    for budget in 0..=total {
+        let mem = MemStorage::new();
+        let acked = run_reqs_until_crash(
+            FailingStorage::with_budget(mem.clone(), budget),
+            sync,
+            &reqs,
+        );
+        let (mut dp, report) = DurableProcessor::open_with(mem, opts(sync))
+            .unwrap_or_else(|e| panic!("budget {budget}: recovery must not fail, got {e}"));
+        assert!(report.quarantined.is_empty(), "budget {budget}");
+        let recovered = dp.processor_mut().checkpoint_bytes().unwrap().to_vec();
+        let k = prefixes
+            .iter()
+            .position(|m| *m == recovered)
+            .unwrap_or_else(|| panic!("budget {budget}: recovered a partial request"));
+        if sync == SyncPolicy::Always {
+            assert!(
+                k >= acked,
+                "budget {budget}: {acked} requests acked, {k} survived"
+            );
+        }
+    }
+}
+
+#[test]
+fn batch_frames_recover_whole_at_every_byte_boundary_sync_always() {
+    batch_kill_sweep(SyncPolicy::Always);
+}
+
+#[test]
+fn batch_frames_recover_whole_at_every_byte_boundary_sync_every_n() {
+    batch_kill_sweep(SyncPolicy::EveryN(3));
+}
+
+/// Flip every byte of a log holding batch frames: a typed `Wal` error
+/// naming the damaged segment, or state identical to the clean replay.
+#[test]
+fn bit_flip_in_batch_frames_is_a_typed_error() {
+    let reqs = batch_workload();
+    let mem = MemStorage::new();
+    assert_eq!(
+        run_reqs_until_crash(mem.clone(), SyncPolicy::Always, &reqs),
+        reqs.len()
+    );
+    let clean = mem.snapshot();
+    let reference = prefix_manifests(&reqs).pop().unwrap();
+    for (file, bytes) in &clean {
+        for pos in 0..bytes.len() {
+            let mut damaged = clean.clone();
+            damaged.get_mut(file).unwrap()[pos] ^= 0x5A;
+            let storage = MemStorage::new();
+            storage.restore(damaged);
+            match DurableProcessor::open_with(storage, opts(SyncPolicy::Always)) {
+                Err(DctError::Wal { segment, .. }) => {
+                    assert_eq!(&segment, file, "{file}:{pos}");
+                }
+                Err(other) => panic!("{file}:{pos}: expected a Wal error, got {other}"),
+                Ok((mut dp, _)) => {
+                    let recovered = dp.processor_mut().checkpoint_bytes().unwrap().to_vec();
+                    assert_eq!(recovered, reference, "{file}:{pos}: silently absorbed");
+                }
+            }
+        }
+    }
+}
