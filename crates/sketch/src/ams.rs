@@ -218,17 +218,7 @@ impl AmsSketch {
     /// Apply `w` copies of `tuple` (negative `w` deletes — atomic sketches
     /// are linear, so turnstile updates are exact).
     pub fn update(&mut self, tuple: &[i64], w: f64) -> Result<()> {
-        if !w.is_finite() {
-            return Err(DctError::InvalidParameter(format!(
-                "update weight must be finite, got {w}"
-            )));
-        }
-        if tuple.len() != self.families.len() {
-            return Err(DctError::ArityMismatch {
-                expected: self.families.len(),
-                got: tuple.len(),
-            });
-        }
+        self.check_update(tuple, w)?;
         for (atom_idx, atom) in self.atoms.iter_mut().enumerate() {
             let mut sign = w;
             for (pos, &v) in tuple.iter().enumerate() {

@@ -235,17 +235,7 @@ impl FastAmsSketch {
 
     /// Apply `w` copies of `tuple` — `O(rows)`, independent of sketch size.
     pub fn update(&mut self, tuple: &[i64], w: f64) -> Result<()> {
-        if !w.is_finite() {
-            return Err(DctError::InvalidParameter(format!(
-                "update weight must be finite, got {w}"
-            )));
-        }
-        if tuple.len() != self.families.len() {
-            return Err(DctError::ArityMismatch {
-                expected: self.families.len(),
-                got: tuple.len(),
-            });
-        }
+        self.check_update(tuple, w)?;
         for r in 0..self.schema.rows {
             let mut idx = 0usize;
             let mut sign = w;

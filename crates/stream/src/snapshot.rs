@@ -318,9 +318,10 @@ impl SnapshotCell {
 }
 
 /// Live-progress counters for staleness accounting outside the registry
-/// lock: the ingest path bumps them after each applied update, readers
-/// fold them into [`RegistrySnapshot::staleness_given`] without touching
-/// the registry. Gross weight is an `f64` maintained by CAS on its bit
+/// lock: the ingest path bumps (or, under the lock, sets) them after it
+/// applies updates, readers fold them into
+/// [`RegistrySnapshot::staleness_given`] without touching the registry.
+/// Gross weight is an `f64` maintained by CAS on its bit
 /// pattern — lock-free, and exact for the additions performed.
 #[derive(Debug, Default)]
 pub struct Progress {
@@ -350,6 +351,17 @@ impl Progress {
                 Err(seen) => cur = seen,
             }
         }
+    }
+
+    /// Overwrite the counters with `totals`: a writer that holds the
+    /// registry lock mirrors the registry's own totals
+    /// ([`crate::StreamProcessor::total_update_stats`]), so the mirror
+    /// rounds exactly as the registry does and stays right when a batch
+    /// fails part-way.
+    pub fn set(&self, totals: StreamStats) {
+        self.records.store(totals.records, Ordering::Relaxed);
+        self.gross_bits
+            .store(totals.gross_weight.to_bits(), Ordering::Relaxed);
     }
 
     /// The totals so far.
